@@ -13,8 +13,10 @@
 
 #![allow(clippy::disallowed_methods)] // tests and examples may unwrap
 
+use smartstore::routing::RouteMode;
 use smartstore::versioning::Change;
 use smartstore::{QueryOptions, SmartStoreConfig, SmartStoreSystem};
+use smartstore_service::codec::encode_response;
 use smartstore_service::{Client, MetadataServer, Request, Response, ServerConfig};
 use smartstore_trace::query_gen::QueryGenConfig;
 use smartstore_trace::{
@@ -89,6 +91,29 @@ fn workload(pop: &MetadataPopulation, seed: u64) -> QueryWorkload {
     )
 }
 
+/// The wire carries answers only: a range/top-k request must get the
+/// same response bytes whichever route mode it names.
+fn assert_mode_independent(
+    client: &mut Client,
+    srv: &mut MetadataServer,
+    req: &Request,
+    resp: &Response,
+) {
+    let mut twin = req.clone();
+    if let Request::Range { opts, .. } | Request::TopK { opts, .. } = &mut twin {
+        opts.mode = match opts.mode {
+            RouteMode::Online => RouteMode::Offline,
+            RouteMode::Offline => RouteMode::Online,
+        };
+    }
+    let twin_resp = client.call(srv, twin).expect("wire ok");
+    assert_eq!(
+        encode_response(&twin_resp),
+        encode_response(resp),
+        "response bytes depend on the route mode: {req:?}"
+    );
+}
+
 /// Runs the full workload against both deployments and asserts every
 /// answer identical (both route modes for the complex queries).
 fn assert_parity(reference: &SmartStoreSystem, srv: &mut MetadataServer, w: &QueryWorkload) {
@@ -97,16 +122,13 @@ fn assert_parity(reference: &SmartStoreSystem, srv: &mut MetadataServer, w: &Que
     for opts in [QueryOptions::offline(), QueryOptions::online()] {
         for (i, q) in w.ranges.iter().enumerate() {
             let expect = engine.range(&q.lo, &q.hi, &opts).file_ids;
-            let resp = client
-                .call(
-                    srv,
-                    Request::Range {
-                        lo: q.lo.clone(),
-                        hi: q.hi.clone(),
-                        opts,
-                    },
-                )
-                .expect("wire ok");
+            let req = Request::Range {
+                lo: q.lo.clone(),
+                hi: q.hi.clone(),
+                opts,
+            };
+            let resp = client.call(srv, req.clone()).expect("wire ok");
+            assert_mode_independent(&mut client, srv, &req, &resp);
             match resp {
                 Response::Query(r) => assert_eq!(
                     r.file_ids,
@@ -121,15 +143,12 @@ fn assert_parity(reference: &SmartStoreSystem, srv: &mut MetadataServer, w: &Que
         for (i, q) in w.topks.iter().enumerate() {
             let o = opts.with_k(q.k);
             let expect = engine.topk(&q.point, &o).file_ids;
-            let resp = client
-                .call(
-                    srv,
-                    Request::TopK {
-                        point: q.point.clone(),
-                        opts: o,
-                    },
-                )
-                .expect("wire ok");
+            let req = Request::TopK {
+                point: q.point.clone(),
+                opts: o,
+            };
+            let resp = client.call(srv, req.clone()).expect("wire ok");
+            assert_mode_independent(&mut client, srv, &req, &resp);
             match resp {
                 Response::TopK(r) => assert_eq!(
                     r.file_ids(),

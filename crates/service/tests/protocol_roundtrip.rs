@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use smartstore::query::QueryOptions;
-use smartstore::routing::{QueryCost, RouteMode};
+use smartstore::routing::RouteMode;
 use smartstore::system::SystemStats;
 use smartstore::versioning::Change;
 use smartstore_service::codec::{
@@ -51,15 +51,6 @@ fn opts(mode_bit: bool, k: usize) -> QueryOptions {
     }
 }
 
-fn cost(seed: u64) -> QueryCost {
-    QueryCost {
-        latency_ns: seed.wrapping_mul(3),
-        messages: seed % 1000,
-        units_probed: (seed % 64) as usize,
-        group_hops: (seed % 8) as usize,
-    }
-}
-
 /// One representative of every request variant, parameterized.
 fn requests(seed: u64, name: String, dims: Vec<f64>) -> Vec<Request> {
     vec![
@@ -91,11 +82,9 @@ fn responses(seed: u64, ids: Vec<u64>, dists: Vec<f64>) -> Vec<Response> {
     vec![
         Response::Query(QueryReply {
             file_ids: ids.clone(),
-            cost: cost(seed),
         }),
         Response::TopK(TopKReply {
             hits: ids.iter().copied().zip(dists.clone()).collect(),
-            cost: cost(seed ^ 1),
         }),
         Response::Applied(AppliedReply {
             shard: if seed.is_multiple_of(2) {
@@ -129,14 +118,12 @@ fn responses(seed: u64, ids: Vec<u64>, dists: Vec<f64>) -> Vec<Response> {
         Response::Degraded(DegradedReply {
             partial: Box::new(Response::Query(QueryReply {
                 file_ids: ids.clone(),
-                cost: cost(seed ^ 2),
             })),
             missing_shards: (0..(seed % 4) as usize).collect(),
         }),
         Response::Degraded(DegradedReply {
             partial: Box::new(Response::TopK(TopKReply {
                 hits: ids.iter().copied().zip(dists).collect(),
-                cost: cost(seed ^ 3),
             })),
             missing_shards: vec![(seed % 7) as usize],
         }),

@@ -19,7 +19,6 @@
 //! [`CostModel`]; parallel branches (multicast fan-out) overlap, serial
 //! steps add.
 
-use crate::mapping::IndexMapping;
 use crate::tree::{Route, SemanticRTree};
 use crate::unit::LocalWork;
 use smartstore_simnet::CostModel;
@@ -68,19 +67,18 @@ const RESULT_BYTES: usize = 512;
 ///
 /// `route` is the tree's routing answer; `unit_work` is the local probe
 /// work actually performed per target unit; `n_groups` the number of
-/// first-level index units in the system.
+/// first-level index units in the system; `group_hops` the extra
+/// first-level groups the query is sent to, which prices the off-line
+/// path's group messages and is reported as the cost's `group_hops`.
 pub fn complex_query_cost(
     mode: RouteMode,
     tree: &SemanticRTree,
-    mapping: &IndexMapping,
     route: &Route,
     unit_work: &[(usize, LocalWork)],
     n_groups: usize,
+    group_hops: usize,
     cost: &CostModel,
 ) -> QueryCost {
-    // `mapping` is in the signature for future host-aware accounting
-    // (distinct hosts could batch messages).
-    let _ = mapping;
     let hop = cost.wire_ns(QUERY_BYTES);
     let reply = cost.wire_ns(RESULT_BYTES);
     let index_probe = cost.per_index_node_ns * route.nodes_visited as u64
@@ -97,7 +95,7 @@ pub fn complex_query_cost(
         .max()
         .unwrap_or(0);
     let n_targets = unit_work.len() as u64;
-    let target_groups = route.group_hops as u64 + 1;
+    let target_groups = group_hops as u64 + 1;
 
     match mode {
         RouteMode::Online => {
@@ -127,7 +125,7 @@ pub fn complex_query_cost(
                 latency_ns: latency,
                 messages,
                 units_probed: unit_work.len(),
-                group_hops: route.group_hops,
+                group_hops,
             }
         }
         RouteMode::Offline => {
@@ -152,7 +150,7 @@ pub fn complex_query_cost(
                 latency_ns: latency,
                 messages,
                 units_probed: unit_work.len(),
-                group_hops: route.group_hops,
+                group_hops,
             }
         }
     }
@@ -166,10 +164,12 @@ pub fn complex_query_cost(
 /// name→slot map, so `records` is 1 at a unit that holds the file and
 /// 0 at a Bloom-false-positive unit — not the prefix-scan length the
 /// pre-columnar store paid. Simulated point latencies are accordingly
-/// lower than pre-columnar reports for the same trace.
+/// lower than pre-columnar reports for the same trace. `group_hops` is
+/// reported as is.
 pub fn point_query_cost(
     route: &Route,
     unit_work: &[(usize, LocalWork)],
+    group_hops: usize,
     cost: &CostModel,
 ) -> QueryCost {
     let hop = cost.wire_ns(QUERY_BYTES);
@@ -186,7 +186,7 @@ pub fn point_query_cost(
         latency_ns: latency,
         messages,
         units_probed: unit_work.len(),
-        group_hops: route.group_hops,
+        group_hops,
     }
 }
 
@@ -195,13 +195,11 @@ mod tests {
     use super::*;
     use crate::config::SmartStoreConfig;
     use crate::grouping::partition_balanced_flat;
-    use crate::mapping::map_index_units;
+    use crate::system::group_hops;
     use crate::unit::StorageUnit;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use smartstore_trace::{GeneratorConfig, MetadataPopulation};
 
-    fn fixture(n_units: usize) -> (SemanticRTree, IndexMapping, Vec<StorageUnit>) {
+    fn fixture(n_units: usize) -> (SemanticRTree, Vec<StorageUnit>) {
         let pop = MetadataPopulation::generate(GeneratorConfig {
             n_files: n_units * 40,
             n_clusters: n_units,
@@ -221,8 +219,7 @@ mod tests {
             .map(|(i, files)| StorageUnit::new(i, 1024, 7, files))
             .collect();
         let tree = SemanticRTree::build(&units, &SmartStoreConfig::default());
-        let mapping = map_index_units(&tree, &mut StdRng::seed_from_u64(1));
-        (tree, mapping, units)
+        (tree, units)
     }
 
     fn sample_route(
@@ -250,26 +247,26 @@ mod tests {
 
     #[test]
     fn offline_sends_fewer_messages_than_online() {
-        let (tree, mapping, units) = fixture(24);
+        let (tree, units) = fixture(24);
         let (route, work) = sample_route(&tree, &units);
         let n_groups = tree.first_level_index_units().len();
         let cost = CostModel::default();
         let online = complex_query_cost(
             RouteMode::Online,
             &tree,
-            &mapping,
             &route,
             &work,
             n_groups,
+            group_hops(&tree, &route.target_units),
             &cost,
         );
         let offline = complex_query_cost(
             RouteMode::Offline,
             &tree,
-            &mapping,
             &route,
             &work,
             n_groups,
+            group_hops(&tree, &route.target_units),
             &cost,
         );
         assert!(
@@ -282,26 +279,26 @@ mod tests {
 
     #[test]
     fn offline_latency_not_worse() {
-        let (tree, mapping, units) = fixture(24);
+        let (tree, units) = fixture(24);
         let (route, work) = sample_route(&tree, &units);
         let n_groups = tree.first_level_index_units().len();
         let cost = CostModel::default();
         let online = complex_query_cost(
             RouteMode::Online,
             &tree,
-            &mapping,
             &route,
             &work,
             n_groups,
+            group_hops(&tree, &route.target_units),
             &cost,
         );
         let offline = complex_query_cost(
             RouteMode::Offline,
             &tree,
-            &mapping,
             &route,
             &work,
             n_groups,
+            group_hops(&tree, &route.target_units),
             &cost,
         );
         assert!(offline.latency_ns <= online.latency_ns);
@@ -309,27 +306,27 @@ mod tests {
 
     #[test]
     fn online_messages_scale_with_group_count() {
-        let (tree_s, map_s, units_s) = fixture(12);
-        let (tree_l, map_l, units_l) = fixture(48);
+        let (tree_s, units_s) = fixture(12);
+        let (tree_l, units_l) = fixture(48);
         let cost = CostModel::default();
         let (rs, ws) = sample_route(&tree_s, &units_s);
         let (rl, wl) = sample_route(&tree_l, &units_l);
         let ms = complex_query_cost(
             RouteMode::Online,
             &tree_s,
-            &map_s,
             &rs,
             &ws,
             tree_s.first_level_index_units().len(),
+            group_hops(&tree_s, &rs.target_units),
             &cost,
         );
         let ml = complex_query_cost(
             RouteMode::Online,
             &tree_l,
-            &map_l,
             &rl,
             &wl,
             tree_l.first_level_index_units().len(),
+            group_hops(&tree_l, &rl.target_units),
             &cost,
         );
         assert!(
@@ -342,7 +339,7 @@ mod tests {
 
     #[test]
     fn point_query_cost_counts_filters() {
-        let (tree, _mapping, units) = fixture(10);
+        let (tree, units) = fixture(10);
         let name = units[2].files()[0].name.clone();
         let route = tree.route_point(&name);
         let work: Vec<(usize, LocalWork)> = route
@@ -353,7 +350,8 @@ mod tests {
                 (u, w)
             })
             .collect();
-        let qc = point_query_cost(&route, &work, &CostModel::default());
+        let hops = group_hops(&tree, &route.target_units);
+        let qc = point_query_cost(&route, &work, hops, &CostModel::default());
         assert!(qc.latency_ns > 0);
         assert!(qc.messages >= 2);
         assert!(qc.units_probed >= 1);
@@ -361,7 +359,7 @@ mod tests {
 
     #[test]
     fn empty_target_set_still_has_routing_cost() {
-        let (tree, mapping, units) = fixture(10);
+        let (tree, units) = fixture(10);
         let dim = units[0].centroid().len();
         // Far-away query box: routed nowhere.
         let lo = vec![1e9; dim];
@@ -371,10 +369,10 @@ mod tests {
         let qc = complex_query_cost(
             RouteMode::Offline,
             &tree,
-            &mapping,
             &route,
             &[],
             tree.first_level_index_units().len(),
+            0,
             &CostModel::default(),
         );
         assert!(qc.latency_ns > 0, "root check alone costs something");

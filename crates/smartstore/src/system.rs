@@ -519,16 +519,16 @@ impl SmartStoreSystem {
         let mut cost = complex_query_cost(
             mode,
             &self.tree,
-            &self.mapping,
             &route,
             &work,
             n_groups,
+            group_hops(&self.tree, &route.target_units),
             &self.cost,
         );
         // Fig. 8's routing distance counts the groups where results were
         // *obtained* — MBR pre-checks at index-unit hosts are not group
         // visits.
-        cost.group_hops = self.hops_of_units(&bearing_units);
+        cost.group_hops = group_hops(&self.tree, &bearing_units);
         if self.versioning_enabled {
             let scanned = self.apply_versions_to_range(lo, hi, &mut results);
             cost.latency_ns += self.version_scan_ns(scanned);
@@ -582,19 +582,18 @@ impl SmartStoreSystem {
         let mut best = top.into_sorted();
         // Routing structure for cost purposes: the units actually probed.
         let route = crate::tree::Route {
-            target_units: visited_units.clone(),
+            target_units: visited_units,
             nodes_visited,
             filters_probed: 0,
-            group_hops: self.hops_of_units(&visited_units),
         };
         let n_groups = self.tree.first_level_index_units().len();
         let mut cost = complex_query_cost(
             mode,
             &self.tree,
-            &self.mapping,
             &route,
             &work,
             n_groups,
+            group_hops(&self.tree, &route.target_units),
             &self.cost,
         );
         if self.versioning_enabled {
@@ -603,7 +602,8 @@ impl SmartStoreSystem {
         }
         // Fig. 8 semantics: hops over the units that contributed to the
         // final answer, not every unit the MaxD walk grazed.
-        let contributing: Vec<usize> = visited_units
+        let contributing: Vec<usize> = route
+            .target_units
             .iter()
             .copied()
             .filter(|&u| {
@@ -611,7 +611,7 @@ impl SmartStoreSystem {
                     .any(|&(id, _)| self.owner.get(&id).copied() == Some(u))
             })
             .collect();
-        cost.group_hops = self.hops_of_units(&contributing);
+        cost.group_hops = group_hops(&self.tree, &contributing);
         let outcome = QueryOutcome {
             file_ids: best.iter().map(|&(id, _)| id).collect(),
             cost,
@@ -631,7 +631,8 @@ impl SmartStoreSystem {
             }
             work.push((u, w));
         }
-        let mut cost = point_query_cost(&route, &work, &self.cost);
+        let hops = group_hops(&self.tree, &route.target_units);
+        let mut cost = point_query_cost(&route, &work, hops, &self.cost);
         if self.versioning_enabled && results.is_empty() {
             // Staleness recovery: a file created after the last replica
             // refresh is found in the version chains.
@@ -667,20 +668,6 @@ impl SmartStoreSystem {
         // lint:allow(D002) -- additive sum; order-insensitive
         let version_headers: usize = self.versions.values().map(|v| v.version_count()).sum();
         self.cost.per_record_ns * scanned as u64 + self.cost.per_record_ns * version_headers as u64
-    }
-
-    fn hops_of_units(&self, units: &[usize]) -> usize {
-        if units.len() <= 1 {
-            return 0;
-        }
-        let mut groups: Vec<NodeId> = units
-            .iter()
-            .filter_map(|&u| self.tree.leaf_of_unit(u))
-            .map(|l| self.tree.group_of_leaf(l))
-            .collect();
-        groups.sort_unstable();
-        groups.dedup();
-        groups.len().saturating_sub(1)
     }
 
     // ------------------------------------------------------------------
@@ -832,9 +819,7 @@ impl SmartStoreSystem {
         self.maintenance_messages += self.units.len() as u64;
         // Version chains covered by the refreshed index are folded in.
         if let Some(vs) = self.versions.get_mut(&group) {
-            let mut scratch = Vec::new();
-            let bytes = vs.flush_into(&mut scratch);
-            let _ = bytes;
+            *vs = VersionStore::new(vs.ratio());
             // Multicast of the flushed versions to remote replicas.
             self.maintenance_messages += self.units.len() as u64;
         }
@@ -1028,4 +1013,20 @@ impl SmartStoreSystem {
     pub fn random_home(&mut self) -> usize {
         self.rng.gen_range(0..self.units.len())
     }
+}
+
+/// Number of *extra* first-level groups a unit set spans (0 when all
+/// units share one group — the paper's 0-hop case, Fig. 8).
+pub(crate) fn group_hops(tree: &SemanticRTree, units: &[usize]) -> usize {
+    if units.len() <= 1 {
+        return 0;
+    }
+    let mut groups: Vec<NodeId> = units
+        .iter()
+        .filter_map(|&u| tree.leaf_of_unit(u))
+        .map(|l| tree.group_of_leaf(l))
+        .collect();
+    groups.sort_unstable();
+    groups.dedup();
+    groups.len().saturating_sub(1)
 }

@@ -84,10 +84,6 @@ pub struct Route {
     pub nodes_visited: usize,
     /// Bloom filters probed (point queries).
     pub filters_probed: usize,
-    /// Routing distance in groups: 0 when every target unit lies in one
-    /// first-level group (the paper's "0-hop", Fig. 8), otherwise the
-    /// number of additional first-level groups visited.
-    pub group_hops: usize,
 }
 
 /// The semantic R-tree over a set of storage units.
@@ -392,7 +388,6 @@ impl SemanticRTree {
                 stack.extend(node.children.iter().copied());
             }
         }
-        route.group_hops = self.hops_for_targets(&route.target_units);
         route
     }
 
@@ -473,24 +468,7 @@ impl SemanticRTree {
                 stack.extend(node.children.iter().copied());
             }
         }
-        route.group_hops = self.hops_for_targets(&route.target_units);
         route
-    }
-
-    /// Number of *extra* first-level groups a target set spans (0 when
-    /// all targets share one group — the paper's 0-hop case).
-    fn hops_for_targets(&self, units: &[usize]) -> usize {
-        if units.len() <= 1 {
-            return 0;
-        }
-        let mut groups: Vec<NodeId> = units
-            .iter()
-            .filter_map(|&u| self.leaf_of_unit(u))
-            .map(|leaf| self.group_of_leaf(leaf))
-            .collect();
-        groups.sort_unstable();
-        groups.dedup();
-        groups.len().saturating_sub(1)
     }
 
     /// The first-level index unit whose semantic centroid is most
